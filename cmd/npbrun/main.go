@@ -57,6 +57,9 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *class != "S" && *class != "W" {
+		return fmt.Errorf("unknown class %q (want S or W)", *class)
+	}
 	plan, err := jf.FaultPlan()
 	if err != nil {
 		return err

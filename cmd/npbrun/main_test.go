@@ -49,6 +49,25 @@ func TestRunRejectsBadArgs(t *testing.T) {
 	}
 }
 
+// An unknown class is an error naming the valid ones, raised before any
+// kernel runs.
+func TestRunRejectsUnknownClass(t *testing.T) {
+	for _, class := range []string{"C", "s", ""} {
+		var buf bytes.Buffer
+		err := run([]string{"-bench", "ep", "-class", class}, &buf)
+		if err == nil {
+			t.Errorf("class %q accepted:\n%s", class, buf.String())
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "S or W") {
+			t.Errorf("class %q: error %q does not name the valid classes", class, msg)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("class %q: kernels ran before the rejection:\n%s", class, buf.String())
+		}
+	}
+}
+
 // The shared fault surface threads into the simulated OpenMP runtime:
 // kernel verification is unaffected, unknown plans and orphan seeds are
 // rejected exactly like maiabench.

@@ -37,7 +37,6 @@ const (
 	BT                  // block-tridiagonal ADI solver (5x5 blocks)
 	LU                  // SSOR solver with wavefront dependencies
 	SP                  // scalar-pentadiagonal ADI solver
-	numBenchmarks
 )
 
 // String implements fmt.Stringer.

@@ -24,16 +24,3 @@ func (g *FTGrid) Free() {
 	c128Pool.Put(g.V)
 	g.V = nil
 }
-
-// NewPooledField5 is NewField5 drawing the backing array from the
-// package free list; pair with Free when the field's lifetime ends.
-func NewPooledField5(n int) *Field5 {
-	return &Field5{N: n, V: f64Pool.GetZeroed(n * n * n * ncomp)}
-}
-
-// Free recycles the field's backing array. The field must not be used
-// afterwards.
-func (f *Field5) Free() {
-	f64Pool.Put(f.V)
-	f.V = nil
-}

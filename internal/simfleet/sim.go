@@ -211,7 +211,7 @@ type sim struct {
 	queue       []job
 	qhead       int
 	waits       []vclock.Time
-	idle        []int // random-policy scratch, reused across dispatches
+	idle        idleIndex
 	meanInter   vclock.Time
 	lastArrival vclock.Time
 	arrivalK    int
@@ -222,7 +222,7 @@ type sim struct {
 }
 
 // Run's scratch — node states, the event heap, the job queue, the
-// dispatch-wait sample, the idle list — recycles through size-classed
+// dispatch-wait sample, the idle index — recycles through size-classed
 // pools, so a fleet sweep's steady state allocates almost nothing per
 // run.
 var (
@@ -230,7 +230,6 @@ var (
 	eventPool bufpool.Pool[event]
 	jobPool   bufpool.Pool[job]
 	waitPool  bufpool.Pool[vclock.Time]
-	idlePool  bufpool.Pool[int]
 )
 
 // Run simulates one fleet and returns its statistics. The result is a
@@ -245,7 +244,7 @@ func Run(cfg Config) (Stats, error) {
 	s := &sim{cfg: cfg, profile: profile, nodes: nodePool.GetZeroed(cfg.Nodes)}
 	s.events = eventPool.Get(4*cfg.Nodes + 64)[:0]
 	s.queue = jobPool.Get(2*cfg.Nodes + 64)[:0]
-	s.idle = idlePool.Get(cfg.Nodes)[:0]
+	s.idle = newIdleIndex(cfg.Nodes, cfg.Scheduler == "least-loaded")
 	s.stats = Stats{
 		Nodes:     cfg.Nodes,
 		Duration:  cfg.Duration,
@@ -300,7 +299,7 @@ func Run(cfg Config) (Stats, error) {
 	eventPool.Put(s.events)
 	jobPool.Put(s.queue)
 	waitPool.Put(s.waits)
-	idlePool.Put(s.idle)
+	s.idle.release()
 	return s.stats, nil
 }
 
@@ -377,6 +376,7 @@ func (s *sim) dispatch() {
 		}
 		n := &s.nodes[ni]
 		n.running, n.job, n.jobStart = true, j, s.now
+		s.sync(ni)
 		s.waits = append(s.waits, s.now-j.arrival)
 		s.push(event{at: s.now + n.svc[j.class], kind: evComplete, node: ni, epoch: n.epoch})
 		s.dispatchK++
@@ -389,40 +389,36 @@ func (s *sim) eligible(i int) bool {
 	return n.state == stateReady && !n.running && !n.failed
 }
 
+// sync recomputes node i's idle-index membership. Every change to a
+// node's state, running or failed flag is followed by a sync.
+func (s *sim) sync(i int) {
+	if s.eligible(i) {
+		s.idle.add(i, s.nodes[i].busy)
+	} else {
+		s.idle.remove(i)
+	}
+}
+
 // pickNode selects the next node per the scheduler policy, or -1 when
-// no node is eligible.
+// no node is eligible:
+//   - least-loaded: the least busy idle node, lowest index among ties;
+//   - round-robin: the first idle node at or after the cursor, wrapping;
+//   - random: the k-th idle node in index order, k seeded per dispatch
+//     and drawn only when some node is idle.
 func (s *sim) pickNode() int {
+	if s.idle.count == 0 {
+		return -1
+	}
 	switch s.cfg.Scheduler {
 	case "round-robin":
-		for off := 0; off < len(s.nodes); off++ {
-			i := (s.rrCursor + off) % len(s.nodes)
-			if s.eligible(i) {
-				s.rrCursor = i + 1
-				return i
-			}
-		}
-		return -1
+		i := s.idle.nextFrom(s.rrCursor)
+		s.rrCursor = i + 1
+		return i
 	case "random":
-		idle := s.idle[:0]
-		for i := range s.nodes {
-			if s.eligible(i) {
-				idle = append(idle, i)
-			}
-		}
-		s.idle = idle
-		if len(idle) == 0 {
-			return -1
-		}
 		rng := vclock.NewRNG(simfault.EventSeed(s.cfg.Seed, s.dispatchK, sbPlace, 0))
-		return idle[rng.Intn(len(idle))]
+		return s.idle.kth(rng.Intn(s.idle.count))
 	default: // least-loaded
-		best := -1
-		for i := range s.nodes {
-			if s.eligible(i) && (best < 0 || s.nodes[i].busy < s.nodes[best].busy) {
-				best = i
-			}
-		}
-		return best
+		return s.idle.least()
 	}
 }
 
@@ -435,6 +431,7 @@ func (s *sim) complete(e event) {
 	}
 	n.running = false
 	n.busy += s.now - n.jobStart
+	s.sync(e.node)
 	s.stats.Completed++
 	if n.replacePending {
 		s.beginReplace(e.node)
@@ -506,6 +503,7 @@ func (s *sim) healthCheck() {
 		}
 		disrupted++
 		n.state = stateCordoned
+		s.sync(i)
 		if n.running {
 			n.replacePending = true
 		} else {
@@ -536,6 +534,7 @@ func (s *sim) beginReplace(i int) {
 	n.state = stateDown
 	n.epoch++
 	n.replacePending = false
+	s.sync(i)
 	s.stats.Replaced++
 	s.push(event{at: s.now + s.repairDuration(i), kind: evRepair, node: i, epoch: n.epoch})
 }
@@ -575,6 +574,7 @@ func (s *sim) fail(e event) {
 			s.stats.Lost++
 		}
 	}
+	s.sync(e.node)
 }
 
 // repairDone returns a node to service: repaired or replaced hardware
@@ -589,6 +589,7 @@ func (s *sim) repairDone(e event) {
 	n.rebalanced = false
 	n.failed = false
 	n.tolerated = false
+	s.sync(e.node)
 	s.refreshPrices(n)
 	if s.profile.MTBF > 0 {
 		s.scheduleFailure(e.node)

@@ -100,8 +100,8 @@ type Config struct {
 }
 
 // Option adjusts a Config at world construction. Options are the one
-// idiom for attaching cross-cutting concerns (tracing, fault plans, the
-// PCIe software stack) across the simulated runtimes: simmpi.NewWorld,
+// idiom for attaching cross-cutting concerns (tracing, fault plans)
+// across the simulated runtimes: simmpi.NewWorld,
 // simomp.New, offload.NewEngine, and harness.DefaultEnv all accept the
 // same shape.
 type Option func(*Config)
@@ -120,19 +120,6 @@ func WithTracer(t *simtrace.Tracer, label string) Option {
 // plan injects nothing.
 func WithFaultPlan(p *simfault.Plan) Option {
 	return func(c *Config) { c.Faults = p }
-}
-
-// WithStack selects the PCIe software environment for cross-device
-// messages.
-func WithStack(s *pcie.Stack) Option {
-	return func(c *Config) { c.Stack = s }
-}
-
-// WithFabric attaches the rack-level interconnect model: inter-node
-// messages are then priced by hypercube hop count, and node-major worlds
-// run hierarchical collectives. A nil fabric keeps the single-node model.
-func WithFabric(f *machine.InterNodeFabric) Option {
-	return func(c *Config) { c.Fabric = f }
 }
 
 // HostPlacement places n ranks on the host at the given threads per core.
@@ -155,7 +142,7 @@ func PhiPlacement(dev machine.Device, n, threadsPerCore int) []Location {
 
 // RackPlacement places nodes x perNode ranks node-major: rank i lives on
 // node i/perNode, all on the same device at the given threads per core.
-// Pair it with WithFabric to build a two-level rack world.
+// Pair it with Config.Fabric to build a two-level rack world.
 func RackPlacement(dev machine.Device, nodes, perNode, threadsPerCore int) []Location {
 	locs := make([]Location, nodes*perNode)
 	for i := range locs {

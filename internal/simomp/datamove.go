@@ -23,7 +23,6 @@ const (
 	FirstPrivate
 	// CopyPrivate broadcasts one thread's value after a SINGLE.
 	CopyPrivate
-	numDataClauses
 )
 
 // String implements fmt.Stringer.
