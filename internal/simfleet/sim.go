@@ -207,7 +207,7 @@ type sim struct {
 	// queue[qhead:] is the pending-job FIFO: popping the front advances
 	// qhead instead of re-slicing (which makes append grow a fresh
 	// backing array every time the old front is still referenced), and
-	// enqueue compacts the drained prefix away before growing.
+	// enqueue compacts the drained prefix away once it is half the array.
 	queue       []job
 	qhead       int
 	waits       []vclock.Time
@@ -330,11 +330,13 @@ func (s *sim) push(e event) {
 	s.events.push(e)
 }
 
-// enqueue appends a job to the pending FIFO, first compacting the
-// drained prefix so a long-lived queue reuses its backing array instead
-// of growing past it.
+// enqueue appends a job to the pending FIFO. When the backing array is
+// full and the drained prefix is at least half of it, the live tail is
+// compacted to the front so a long-lived queue reuses its array; a
+// mostly-live queue grows through append instead, so a growing backlog
+// is copied O(1) times per job rather than on every few arrivals.
 func (s *sim) enqueue(j job) {
-	if s.qhead > 0 && len(s.queue) == cap(s.queue) {
+	if len(s.queue) == cap(s.queue) && s.qhead > 0 && 2*s.qhead >= len(s.queue) {
 		n := copy(s.queue, s.queue[s.qhead:])
 		s.queue = s.queue[:n]
 		s.qhead = 0
